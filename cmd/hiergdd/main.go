@@ -156,7 +156,7 @@ func serveDaemon(ln net.Listener, h http.Handler, drain time.Duration, markDrain
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Handler: h}
+	srv := httpcache.NewServer(h)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -1,6 +1,7 @@
 package httpcache
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,7 +255,7 @@ func (c *ClientCache) handleStore(w http.ResponseWriter, r *http.Request) {
 	if cost <= 0 {
 		cost = 1
 	}
-	body, err := readRetainedBody(w, r, 64<<20)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -315,25 +316,12 @@ func (c *ClientCache) handlePush(w http.ResponseWriter, r *http.Request) {
 	// The push (§4.5): the client cache opens the connection to the
 	// proxy — never the other way around across organizations.  The
 	// trace id rides along so the accept-push hop stays in the trace.
-	req, err := http.NewRequest("POST", to, bytesReader(obj.Body))
-	if err != nil {
-		sp.EndWasted()
-		st.FinishWall("error")
-		http.Error(w, "push failed: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if tid := st.TraceID(); tid != "" {
-		req.Header.Set(TraceHeader, tid)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
+	if _, err := roundTrip(context.Background(), c.client, &hopReq{kind: hopControl, method: http.MethodPost, url: to, body: obj.Body, trace: st.TraceID()}); err != nil {
 		sp.EndWasted()
 		st.FinishWall("error")
 		http.Error(w, "push failed: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	resp.Body.Close()
 	sp.End()
 	c.stats.pushes.Add(1)
 	w.WriteHeader(http.StatusNoContent)

@@ -1,13 +1,11 @@
 package httpcache
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
 	"webcache/internal/invariant"
 	"webcache/internal/p2p"
-	"webcache/internal/pastry"
 	"webcache/internal/trace"
 )
 
@@ -16,12 +14,13 @@ import (
 // (it trusts client caches completely and assumes peers answer
 // promptly — see DESIGN.md §11):
 //
-//   - per-call deadlines: every lanFetch / peerLookup carries the
-//     requester's context bounded by PeerTimeout, so one slow peer
-//     cannot stall the whole fetch chain;
-//   - hedged LAN fetches: after a p99-derived delay, a second request
-//     races a ring neighbour against a slow owner (tail-latency
-//     hedging a la "The Tail at Scale");
+//   - per-call deadlines: every LAN fetch, peer lookup and fleet hop
+//     carries the requester's context bounded by PeerTimeout, so one
+//     slow peer cannot stall the whole fetch chain (hop.go);
+//   - hedged fetches: after a p99-derived delay, a second request
+//     races the next candidate (a ring neighbour, or a fleet replica)
+//     against a slow first one (tail-latency hedging a la "The Tail at
+//     Scale");
 //   - receipt-verification sampling: every VerifyEvery-th client-cache
 //     serve is digest-checked against the body the proxy passed down,
 //     catching byzantine daemons that serve corrupted objects;
@@ -36,10 +35,11 @@ import (
 // are filled by SetDefenses (and by NewProxyOpts for proxies that
 // never call it).
 type Defenses struct {
-	// PeerTimeout is the per-call deadline on lanFetch, peerLookup and
-	// the fleet hop (default 2s).  It layers under the shared client
-	// timeout: the context is derived from the inbound request, so a
-	// disconnected requester also cancels the downstream call.
+	// PeerTimeout is the per-call deadline on LAN fetches, peer
+	// lookups and the fleet hop (default 2s).  It layers under the
+	// shared client timeout: the context is derived from the inbound
+	// request, so a disconnected requester also cancels the downstream
+	// call.
 	PeerTimeout time.Duration
 	// AdaptivePeerTimeout auto-tunes the per-call deadline from the
 	// observed LAN p99 the same way the hedge delay is derived: once
@@ -49,9 +49,9 @@ type Defenses struct {
 	// the fallback until the histogram warms up), so a cold or
 	// recovering proxy never times peers out on a guess.
 	AdaptivePeerTimeout bool
-	// Hedge enables the hedged second LAN fetch to a ring neighbour.
+	// Hedge enables the hedged second fetch to the next candidate.
 	Hedge bool
-	// HedgeDelay is how long the primary LAN fetch runs before the
+	// HedgeDelay is how long the primary leg runs before the
 	// hedge fires; 0 derives it from the observed p99 of successful
 	// LAN fetches (clamped to [minHedgeDelay, PeerTimeout/2]).
 	HedgeDelay time.Duration
@@ -146,61 +146,6 @@ func (p *Proxy) hedgeDelay() time.Duration {
 	return d
 }
 
-// hedgedLanFetch fetches from the owner, racing a ring neighbour
-// after the hedge delay when hedging is enabled.  The first success
-// wins; a losing leg's goroutine delivers into a buffered channel and
-// exits (no leak).
-func (p *Proxy) hedgedLanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
-	if !p.defenses.Hedge {
-		return p.lanFetch(ctx, addr, id, traceID)
-	}
-	alts := p.ringNeighbours(addr)
-	if len(alts) == 0 {
-		return p.lanFetch(ctx, addr, id, traceID)
-	}
-	type leg struct {
-		body []byte
-		addr string
-		ok   bool
-	}
-	results := make(chan leg, 2)
-	launch := func(a string) {
-		go func() {
-			body, ok := p.lanFetch(ctx, a, id, traceID)
-			results <- leg{body, a, ok}
-		}()
-	}
-	launch(addr)
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	hedged := false
-	pending := 1
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.ok {
-				if hedged && r.addr != addr {
-					p.stats.hedgedWins.Add(1)
-				}
-				return r.body, true
-			}
-			if pending == 0 || !hedged {
-				// Both legs missed, or the primary missed before the
-				// hedge fired — the caller's diversion probes take over.
-				return nil, false
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				p.stats.hedged.Add(1)
-				launch(alts[0])
-			}
-		}
-	}
-}
-
 // bodyDigest is the FNV-1a 64-bit hash of an object body — cheap
 // enough to compute at pass-down time and on sampled serves.
 func bodyDigest(b []byte) uint64 {
@@ -255,8 +200,10 @@ func (p *Proxy) verifyBody(folded trace.ObjectID, body []byte) bool {
 // contribution is one client cache's serve-vs-strike ledger; the
 // sweeper evicts clients whose strikes exhaust the budget.
 type contribution struct {
-	serves      atomic.Int64
-	timeouts    atomic.Int64
+	serves   atomic.Int64
+	timeouts atomic.Int64
+	// digestFails counts byzantine serves: a digest mismatch, or a body
+	// over maxBodyBytes (an honest daemon never stores one).
 	digestFails atomic.Int64
 }
 

@@ -13,8 +13,6 @@ package httpcache
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -254,26 +252,10 @@ func (p *Proxy) replicateOut(id pastry.ID, folded trace.ObjectID) {
 // proxy-to-proxy analogue of the client-cache /store path, same
 // StoreReceipt contract).  reason is "replica" or "rebalance".
 func (p *Proxy) fleetStore(member string, obj store.Object, reason string) bool {
-	u := fmt.Sprintf("%s/fleet/store?key=%s&cost=%g&reason=%s", member, obj.HexKey, obj.Cost, reason)
-	ctx, cancel := context.WithTimeout(context.Background(), p.defenses.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", u, bytesReader(obj.Body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.peerFailed(member)
-		return false
-	}
-	defer resp.Body.Close()
-	p.peerOK(member)
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
+	u := member + "/fleet/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64) + "&reason=" + reason
+	resp, err := p.hop(context.Background(), hopReq{kind: hopFleetStore, method: http.MethodPost, url: u, body: obj.Body, target: member})
 	var rec StoreReceipt
-	return json.NewDecoder(resp.Body).Decode(&rec) == nil && rec.Stored
+	return err == nil && resp.status == http.StatusOK && json.Unmarshal(resp.body, &rec) == nil && rec.Stored
 }
 
 // handleFleetStore accepts a replica or rebalanced object into this
@@ -293,7 +275,7 @@ func (p *Proxy) handleFleetStore(w http.ResponseWriter, r *http.Request) {
 	if cost <= 0 {
 		cost = 1
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -385,8 +367,16 @@ func (p *Proxy) fleetRoute(r *http.Request, objURL string, folded trace.ObjectID
 		f.routeFailed.Add(1)
 		return nil, "", false
 	}
+	// One leg is a /fetch against one member with the hop header; the
+	// returned tier is what that member reported serving from.
 	span := st.StartSpan("fleet.route", "Tc")
-	body, tier, ok := p.hedgedFleetFetch(r.Context(), allowed, objURL, st.TraceID())
+	query, tid := "/fetch?url="+url.QueryEscape(objURL), st.TraceID()
+	resp, _, ok := p.hedge(allowed, func(m string) (hopResp, bool) {
+		release := f.peers.Acquire(m)
+		defer release()
+		resp, err := p.hop(r.Context(), hopReq{kind: hopFleet, url: m + query, trace: tid, target: m})
+		return resp, err == nil && resp.status == http.StatusOK
+	})
 	if !ok {
 		span.EndWasted()
 		f.routeFailed.Add(1)
@@ -394,6 +384,7 @@ func (p *Proxy) fleetRoute(r *http.Request, objURL string, folded trace.ObjectID
 	}
 	span.End()
 	f.routed.Add(1)
+	body, tier := resp.body, resp.tier
 	if tier == TierOrigin {
 		f.routedOrigin.Add(1)
 	} else {
@@ -401,102 +392,6 @@ func (p *Proxy) fleetRoute(r *http.Request, objURL string, folded trace.ObjectID
 		tier = TierRemoteProxy
 	}
 	return body, tier, true
-}
-
-// fleetFetch is one leg of the inter-proxy hop: a /fetch against one
-// member with the hop header, bounded by the (adaptive) per-hop
-// deadline.  Transport failures and bad statuses feed the member's
-// breaker; the returned tier is what the member reported serving from.
-func (p *Proxy) fleetFetch(ctx context.Context, member, objURL, traceID string) ([]byte, string, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		fmt.Sprintf("%s/fetch?url=%s", member, url.QueryEscape(objURL)), nil)
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set(FleetHopHeader, "1")
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	release := p.fleet.peers.Acquire(member)
-	defer release()
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			p.stats.peerTimeouts.Add(1)
-		}
-		p.peerFailed(member)
-		return nil, "", err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		p.peerFailed(member)
-		return nil, "", fmt.Errorf("fleet member status %d", resp.StatusCode)
-	}
-	p.peerOK(member)
-	return body, resp.Header.Get(ServedByHeader), nil
-}
-
-// hedgedFleetFetch runs the hop against the first candidate, racing
-// the second after the hedge delay when hedging is on — the same
-// tail-at-scale pattern hedgedLanFetch applies to client caches.
-func (p *Proxy) hedgedFleetFetch(ctx context.Context, cands []string, objURL, traceID string) ([]byte, string, bool) {
-	if !p.defenses.Hedge || len(cands) < 2 {
-		for _, m := range cands {
-			if body, tier, err := p.fleetFetch(ctx, m, objURL, traceID); err == nil {
-				return body, tier, true
-			}
-		}
-		return nil, "", false
-	}
-	type leg struct {
-		body []byte
-		tier string
-		err  error
-	}
-	results := make(chan leg, 2)
-	launch := func(m string) {
-		go func() {
-			body, tier, err := p.fleetFetch(ctx, m, objURL, traceID)
-			results <- leg{body, tier, err}
-		}()
-	}
-	launch(cands[0])
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	hedged := false
-	pending := 1
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				if hedged {
-					p.stats.hedgedWins.Add(1)
-				}
-				return r.body, r.tier, true
-			}
-			if pending == 0 {
-				return nil, "", false
-			}
-			if !hedged {
-				// Primary failed before the hedge fired: promote the
-				// second candidate immediately.
-				hedged = true
-				pending++
-				launch(cands[1])
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				p.stats.hedged.Add(1)
-				launch(cands[1])
-			}
-		}
-	}
 }
 
 // handleFleetJoin admits a member and rebalances: exactly the resident
@@ -584,13 +479,8 @@ func (p *Proxy) JoinFleet() int {
 		if m == f.opts.Self {
 			continue
 		}
-		resp, err := p.client.Post(fmt.Sprintf("%s/fleet/join?addr=%s", m, url.QueryEscape(f.opts.Self)), "text/plain", nil)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		resp, err := p.hop(context.Background(), hopReq{kind: hopControl, method: http.MethodPost, url: m + "/fleet/join?addr=" + url.QueryEscape(f.opts.Self)})
+		if err == nil && resp.status == http.StatusOK {
 			notified++
 		}
 	}
@@ -614,12 +504,7 @@ func (p *Proxy) LeaveFleet() int {
 	after.Remove(f.opts.Self)
 	moved := p.rebalance(before, after)
 	for _, m := range after.Members() {
-		resp, err := p.client.Post(fmt.Sprintf("%s/fleet/leave?addr=%s", m, url.QueryEscape(f.opts.Self)), "text/plain", nil)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		p.hop(context.Background(), hopReq{kind: hopControl, method: http.MethodPost, url: m + "/fleet/leave?addr=" + url.QueryEscape(f.opts.Self)})
 	}
 	f.ring.Remove(f.opts.Self)
 	f.leaves.Add(1)
@@ -678,15 +563,8 @@ func (p *Proxy) HeartbeatOnce() {
 			continue
 		}
 		var hb fleetHeartbeat
-		ok := func() bool {
-			resp, err := p.probeClient.Get(m + "/fleet/heartbeat")
-			if err != nil {
-				return false
-			}
-			defer resp.Body.Close()
-			return resp.StatusCode == http.StatusOK &&
-				json.NewDecoder(resp.Body).Decode(&hb) == nil
-		}()
+		resp, err := p.hop(context.Background(), hopReq{kind: hopProbe, url: m + "/fleet/heartbeat"})
+		ok := err == nil && resp.status == http.StatusOK && json.Unmarshal(resp.body, &hb) == nil
 		f.hbMu.Lock()
 		if ok {
 			f.hbFails[m] = 0

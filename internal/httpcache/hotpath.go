@@ -16,33 +16,44 @@ import (
 
 // queryParam returns the named parameter from a raw query string
 // without materializing url.Values (which allocates a map and a slice
-// per key).  The common case — an unescaped value, which is what the
-// loopback drivers and the load generator send — returns a substring
-// of rawQuery and allocates nothing; values carrying '%' or '+'
-// escapes fall back to url.QueryUnescape.  A malformed escape returns
-// "" (url.ParseQuery would have dropped the pair).
+// per key); it agrees with url.ParseQuery(rawQuery).Get(key) whenever
+// ParseQuery accepts rawQuery (FuzzQueryParam holds it to that).  The
+// common case — unescaped keys and values, which is what the loopback
+// drivers and the load generator send — returns a substring of
+// rawQuery and allocates nothing; '%' or '+' escapes fall back to
+// url.QueryUnescape.  A malformed escape returns "" (url.ParseQuery
+// would have dropped the pair).
 func queryParam(rawQuery, key string) string {
 	for q := rawQuery; q != ""; {
 		var kv string
-		if i := strings.IndexByte(q, '&'); i >= 0 {
-			kv, q = q[:i], q[i+1:]
-		} else {
-			kv, q = q, ""
-		}
-		if len(kv) <= len(key) || kv[len(key)] != '=' || kv[:len(key)] != key {
+		kv, q, _ = strings.Cut(q, "&")
+		if kv == "" {
 			continue
 		}
-		v := kv[len(key)+1:]
-		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
+		k, v, _ := strings.Cut(kv, "=")
+		if escaped(k) {
+			var err error
+			if k, err = url.QueryUnescape(k); err != nil {
+				continue
+			}
+		}
+		if k != key {
+			continue
+		}
+		if !escaped(v) {
 			return v
 		}
-		dec, err := url.QueryUnescape(v)
+		v, err := url.QueryUnescape(v)
 		if err != nil {
 			return ""
 		}
-		return dec
+		return v
 	}
 	return ""
+}
+
+func escaped(s string) bool {
+	return strings.IndexByte(s, '%') >= 0 || strings.IndexByte(s, '+') >= 0
 }
 
 // servedBy holds one preallocated header value per serving tier, so
@@ -83,23 +94,24 @@ var (
 	receiptStoredClean = []byte("{\"stored\":true}\n")
 )
 
-// bodyBuf is a pooled scratch buffer for reading request bodies whose
-// final destination retains the bytes (the store keeps object bodies
+// bodyBuf is a pooled scratch buffer for reading bodies whose final
+// destination retains the bytes (the store keeps object bodies
 // forever, so they cannot live in a pool).  Reading through pooled
-// scratch and copying once means each store costs exactly one
+// scratch and copying once means each read costs exactly one
 // right-sized allocation — the retained body — instead of io.ReadAll's
 // log-of-size growth garbage.
 type bodyBuf struct{ b []byte }
 
 var bodyBufPool = sync.Pool{New: func() any { return &bodyBuf{b: make([]byte, 0, 64<<10)} }}
 
-// readRetainedBody reads the request body (bounded by limit, with
-// MaxBytesReader's 413 semantics) into pooled scratch and returns an
-// exact-size copy the caller owns.
-func readRetainedBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody is the one bounded-read helper: it reads r to EOF into
+// pooled scratch and returns an exact-size copy the caller owns, or
+// errBodyTooLarge past maxBodyBytes.  Inbound handlers pass an
+// http.MaxBytesReader, which fails first with its 413 semantics.
+func readBody(r io.Reader) ([]byte, error) {
 	bb := bodyBufPool.Get().(*bodyBuf)
 	defer bodyBufPool.Put(bb)
-	rd := http.MaxBytesReader(w, r.Body, limit)
+	rd := io.LimitedReader{R: r, N: maxBodyBytes + 1}
 	bb.b = bb.b[:0]
 	for {
 		if len(bb.b) == cap(bb.b) {
@@ -113,6 +125,9 @@ func readRetainedBody(w http.ResponseWriter, r *http.Request, limit int64) ([]by
 		if err != nil {
 			return nil, err
 		}
+	}
+	if len(bb.b) > maxBodyBytes {
+		return nil, errBodyTooLarge
 	}
 	out := make([]byte, len(bb.b))
 	copy(out, bb.b)

@@ -1,12 +1,10 @@
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -17,13 +15,9 @@ import (
 	"webcache/internal/invariant"
 	"webcache/internal/obs"
 	"webcache/internal/obs/slo"
-	"webcache/internal/pastry"
 	"webcache/internal/store"
 	"webcache/internal/store/disk"
 )
-
-// bytesReader avoids importing bytes in two files.
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // ProxyStats is the proxy's /stats payload: where requests were served
 // from, plus pass-down and push activity.
@@ -40,9 +34,9 @@ type ProxyStats struct {
 	CoalescedFetches int `json:"coalesced_fetches"`
 	PassDowns        int `json:"pass_downs"`
 	Diversions       int `json:"diversions"`
-	// DivertedHits counts client-cache hits served through the
-	// diversion passthrough: the owner missed but a ring neighbour
-	// (where an ifFree store diverted the object) had it.
+	// DivertedHits counts client-cache hits a ring neighbour served
+	// instead of the owner (an ifFree store diverted the object there):
+	// found after an owner miss, or by a hedge leg racing a slow owner.
 	DivertedHits int `json:"diverted_hits"`
 	PushesIn     int `json:"pushes_in"`
 	// SweptCaches counts client-cache daemons the liveness sweep
@@ -84,11 +78,7 @@ type Proxy struct {
 	// when a disk tier is configured.
 	tier   store.Interface
 	ring   *ring
-	client *http.Client
-	// probeClient is the liveness sweep's short-deadline client; a
-	// probe that cannot connect within its timeout marks the daemon
-	// dead.  It shares the tuned transport shape (transport.go).
-	probeClient *http.Client
+	client *http.Client // every outbound hop's (hop.go)
 
 	stats proxyCounters
 
@@ -155,14 +145,13 @@ func NewProxyOpts(o Options) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		store:       st,
-		disk:        dsk,
-		tier:        tier,
-		ring:        newRing(),
-		dir:         directory.NewExact(),
-		client:      newHTTPClient(10 * time.Second),
-		probeClient: newHTTPClient(2 * time.Second),
-		lanLat:      &obs.Histogram{},
+		store:  st,
+		disk:   dsk,
+		tier:   tier,
+		ring:   newRing(),
+		dir:    directory.NewExact(),
+		client: newHTTPClient(10 * time.Second),
+		lanLat: &obs.Histogram{},
 	}
 	p.defenses.fillDefaults()
 	return p, nil
@@ -325,43 +314,44 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// 2. Own P2P client cache, per the lookup directory (§4.2).  Every
 	// LAN hop is bounded by the per-call deadline and derives from the
 	// requester's context, so a disconnected client cancels the chain.
+	// The proxy connects to its own client caches directly (same
+	// intranet); only cross-organization inbound connections are
+	// forbidden, which is why cooperating proxies use the push path.
 	p.mu.Lock()
 	inDir := p.dir.MayContain(folded)
 	p.mu.Unlock()
 	if inDir {
 		if addr, ok := p.ring.owner(id); ok {
+			// The owner first, then the diversion passthrough: an ifFree
+			// store may have landed the object on a ring neighbour
+			// instead (§4.3), so they are probed before the entry is
+			// declared stale.
 			lan := st.StartSpan("client.fetch", "Tp2p")
-			if body, ok := p.hedgedLanFetch(r.Context(), addr, id, st.TraceID()); ok {
-				if p.verifyBody(folded, body) {
-					lan.End()
-					p.stats.clientHits.Add(1)
-					serve(w, body, TierClientCache)
-					st.FinishWall(TierClientCache)
-					return
+			key, tid := id.String(), st.TraceID()
+			resp, from, ok := p.hedge(append([]string{addr}, p.ringNeighbours(addr)...), func(a string) (hopResp, bool) {
+				resp, err := p.hop(r.Context(), hopReq{kind: hopLAN, url: "http://" + a + "/object?key=" + key, trace: tid, target: a})
+				if err != nil || resp.status != http.StatusOK {
+					return resp, false
 				}
-				// Digest mismatch: a byzantine serve.  Strike the
-				// owner's ledger, treat as a miss, and let the
-				// diversion probes / origin take over.
-				p.contribFor(addr).digestFails.Add(1)
-				lan.EndWasted()
-			} else {
-				lan.EndWasted()
-			}
-			// Diversion passthrough: an ifFree store may have landed
-			// the object on a ring neighbour instead of its owner
-			// (§4.3); probe them before declaring the entry stale.
-			for _, alt := range p.ringNeighbours(addr) {
-				div := st.StartSpan("client.fetch.divert", "Tp2p")
-				if body, ok := p.lanFetch(r.Context(), alt, id, st.TraceID()); ok && p.verifyBody(folded, body) {
-					div.End()
-					p.stats.clientHits.Add(1)
+				if !p.verifyBody(folded, resp.body) {
+					// Digest mismatch: a byzantine serve.  Strike the
+					// server's ledger and treat it as a miss.
+					p.contribFor(a).digestFails.Add(1)
+					return resp, false
+				}
+				return resp, true
+			})
+			if ok {
+				lan.End()
+				p.stats.clientHits.Add(1)
+				if from != addr {
 					p.stats.divertedHits.Add(1)
-					serve(w, body, TierClientCache)
-					st.FinishWall(TierClientCache)
-					return
 				}
-				div.EndWasted()
+				serve(w, resp.body, TierClientCache)
+				st.FinishWall(TierClientCache)
+				return
 			}
+			lan.EndWasted()
 		}
 		// Stale entry (crashed daemon or raced eviction): repair.
 		p.mu.Lock()
@@ -385,8 +375,9 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// 3. Cooperating proxies, each behind its error-rate breaker: a
-	// peer that keeps failing at the transport level is skipped (the
-	// request degrades toward origin) until its cooldown expires.
+	// peer that keeps failing is skipped (the request degrades toward
+	// origin) until its cooldown expires.  The trace id rides along so
+	// the peer's spans join the same trace.
 	p.mu.Lock()
 	peers := p.peers
 	p.mu.Unlock()
@@ -396,17 +387,12 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		look := st.StartSpan("peer.lookup", "Tc")
-		body, ok, err := p.peerLookup(r.Context(), peer, id, st.TraceID())
-		if err != nil {
-			p.peerFailed(peer)
-		} else {
-			p.peerOK(peer)
-		}
-		if ok {
+		resp, err := p.hop(r.Context(), hopReq{kind: hopPeer, url: peer + "/peer-lookup?key=" + id.String(), trace: st.TraceID(), target: peer})
+		if err == nil && resp.status == http.StatusOK {
 			look.End()
 			p.stats.remoteHits.Add(1)
-			p.insertAndDestage(url, body, remoteCost)
-			serve(w, body, TierRemoteProxy)
+			p.insertAndDestage(url, resp.body, remoteCost)
+			serve(w, resp.body, TierRemoteProxy)
 			st.FinishWall(TierRemoteProxy)
 			return
 		}
@@ -418,12 +404,15 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	// every waiter serves the winner's body).
 	org := st.StartSpan("origin.fetch", "Ts")
 	view, err := p.tier.GetOrLoad(folded, func() (store.Object, string, error) {
-		body, ferr := p.originFetch(url)
+		resp, ferr := p.hop(context.Background(), hopReq{kind: hopOrigin, url: url})
+		if ferr == nil && resp.status != http.StatusOK {
+			ferr = fmt.Errorf("origin status %d", resp.status)
+		}
 		if ferr != nil {
 			return store.Object{}, "", ferr
 		}
 		p.stats.originFetch.Add(1)
-		return store.Object{HexKey: id.String(), Body: body, Cost: originCost}, TierOrigin, nil
+		return store.Object{HexKey: id.String(), Body: resp.body, Cost: originCost}, TierOrigin, nil
 	})
 	if err != nil {
 		org.EndWasted()
@@ -459,108 +448,12 @@ func (p *Proxy) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// originFetch GETs the object body from its origin server.
-func (p *Proxy) originFetch(url string) ([]byte, error) {
-	resp, err := p.client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("origin status %d", resp.StatusCode)
-	}
-	return body, nil
-}
-
-// peerLookup asks one cooperating proxy for an object, forwarding the
-// request's trace id so the peer's spans join the same trace.  The
-// call is bounded by the per-hop deadline layered on the caller's
-// context.  The error return discriminates peer *health* from a plain
-// miss: a 404 is (nil, false, nil) — the peer answered, it just does
-// not have the object — while transport failures and unexpected
-// statuses return an error that feeds the peer's circuit breaker.
-func (p *Proxy) peerLookup(ctx context.Context, peer string, id pastry.ID, traceID string) ([]byte, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("%s/peer-lookup?key=%s", peer, id), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			p.stats.peerTimeouts.Add(1)
-		}
-		return nil, false, err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, false, nil
-	}
-	if rerr != nil {
-		return nil, false, rerr
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("peer status %d", resp.StatusCode)
-	}
-	return body, true, nil
-}
-
 // Greedy-dual costs mirror the latency model: origin fetches are the
 // expensive ones, remote-proxy fetches cheap.
 const (
 	originCost = 1.0
 	remoteCost = 0.1
 )
-
-// lanFetch pulls an object from one of this proxy's own client caches
-// (same intranet — direct connections are allowed here; it is only
-// *cross-organization* inbound connections the firewall forbids, which
-// is why cooperating proxies use the push path instead).  The call is
-// bounded by the per-hop deadline layered on the caller's context.
-func (p *Proxy) lanFetch(ctx context.Context, addr string, id pastry.ID, traceID string) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(ctx, p.peerTimeout())
-	defer cancel()
-	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("http://%s/object?key=%s", addr, id), nil)
-	if err != nil {
-		return nil, false
-	}
-	if traceID != "" {
-		req.Header.Set(TraceHeader, traceID)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Deadline, not death: the daemon may just be slow (or the
-			// requester hung up).  Strike its contribution ledger but
-			// keep it in the ring — the sweeper evicts repeat offenders.
-			p.stats.peerTimeouts.Add(1)
-			p.contribFor(addr).timeouts.Add(1)
-			return nil, false
-		}
-		// Connection-level failure: the daemon is gone; its keys
-		// re-home to the ring neighbours on the next pass-down.
-		p.ring.remove(addr)
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false
-	}
-	p.lanLat.Observe(time.Since(start))
-	p.contribFor(addr).serves.Add(1)
-	return body, true
-}
 
 // insertAndDestage caches a fetched object at the proxy and passes any
 // evicted objects down into the client caches (§4.3 with the
@@ -586,22 +479,15 @@ func (p *Proxy) passDown(obj store.Object) {
 	// Diversion: probe the destination with ifFree; on 507 try the two
 	// ring neighbours (the HTTP stand-in for the leaf set) before
 	// forcing a replacement at the destination.
+	query := "/store?key=" + obj.HexKey + "&cost=" + strconv.FormatFloat(obj.Cost, 'g', -1, 64)
 	tryStore := func(target string, ifFree bool) (*StoreReceipt, bool) {
-		u := fmt.Sprintf("http://%s/store?key=%s&cost=%g", target, obj.HexKey, obj.Cost)
+		u := "http://" + target + query
 		if ifFree {
 			u += "&ifFree=1"
 		}
-		resp, err := p.client.Post(u, "application/octet-stream", bytesReader(obj.Body))
-		if err != nil {
-			p.ring.remove(target) // crashed daemon: drop from the ring
-			return nil, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
+		resp, err := p.hop(context.Background(), hopReq{kind: hopPassDown, method: http.MethodPost, url: u, body: obj.Body, target: target})
 		var rec StoreReceipt
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		if err != nil || resp.status != http.StatusOK || json.Unmarshal(resp.body, &rec) != nil {
 			return nil, false
 		}
 		return &rec, true
@@ -660,7 +546,7 @@ func (p *Proxy) ringNeighbours(exclude string) []string {
 }
 
 // SweepClientCaches probes every registered client-cache daemon once
-// (GET /stats on the short-deadline probe client) and deregisters the
+// (GET /stats under the probe deadline) and deregisters the
 // ones that do not answer, so a crashed daemon stops poisoning its
 // key range (its keys re-home to the ring neighbours).  It returns
 // the deregistered addresses.
@@ -678,21 +564,17 @@ func (p *Proxy) SweepClientCaches() []string {
 			removed = append(removed, addr)
 			continue
 		}
-		resp, err := p.probeClient.Get(fmt.Sprintf("http://%s/stats", addr))
-		if err != nil {
+		if _, err := p.hop(context.Background(), hopReq{kind: hopProbe, url: "http://" + addr + "/stats"}); err != nil {
 			p.ring.remove(addr)
 			p.stats.swept.Add(1)
 			removed = append(removed, addr)
-			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 	return removed
 }
 
 // StartSweeper runs SweepClientCaches every interval until the
-// returned stop func is called.  The passive paths (lanFetch and
+// returned stop func is called.  The passive paths (LAN fetch and
 // pass-down connection failures) already deregister daemons they
 // catch dying; the sweep is the active guarantee that a daemon
 // crashing while idle is still evicted from the ring.
@@ -762,22 +644,10 @@ func (p *Proxy) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	defer p.pushWaiters.Delete(pushID)
 	push := st.StartSpan("peer.push", "Tp2p")
 	accepted := false
+	query := "/push?key=" + id.String() + "&to=" + p.self + "/accept-push?id=" + pushID
 	for _, cand := range append([]string{addr}, p.ringNeighbours(addr)...) {
-		pushURL := fmt.Sprintf("http://%s/push?key=%s&to=%s/accept-push?id=%s", cand, id, p.self, pushID)
-		req, err := http.NewRequest("POST", pushURL, nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "text/plain")
-		if tid := st.TraceID(); tid != "" {
-			req.Header.Set(TraceHeader, tid)
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			continue
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNoContent {
+		resp, err := p.hop(context.Background(), hopReq{kind: hopControl, method: http.MethodPost, url: "http://" + cand + query, trace: st.TraceID()})
+		if err == nil && resp.status == http.StatusNoContent {
 			accepted = true
 			break
 		}
@@ -818,7 +688,7 @@ func (p *Proxy) handleAcceptPush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown push id", http.StatusGone)
 		return
 	}
-	body, err := readRetainedBody(w, r, 64<<20)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -21,8 +21,23 @@ func NewTransport() *http.Transport {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 0 // no global cap; the per-host limit governs
 	tr.MaxIdleConnsPerHost = 256
-	tr.IdleConnTimeout = 90 * time.Second
+	tr.IdleConnTimeout = idleTimeout
 	return tr
+}
+
+// Connection lifetimes shared by both ends of every hop: a pooled
+// connection idles out after idleTimeout on either side, and a client
+// gets readHeaderTimeout to finish sending its request header, so a
+// slowloris cannot pin a daemon goroutine.
+const (
+	idleTimeout       = 90 * time.Second
+	readHeaderTimeout = 5 * time.Second
+)
+
+// NewServer returns the http.Server every daemon serves h on, with the
+// header-read and idle timeouts set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newHTTPClient builds a client on a fresh tuned transport.

@@ -329,7 +329,7 @@ func listen() (net.Listener, error) {
 
 // serve runs an http.Server on ln and tracks it for shutdown.
 func (t *Topology) serve(ln net.Listener, h http.Handler) *http.Server {
-	srv := &http.Server{Handler: h}
+	srv := httpcache.NewServer(h)
 	t.servers = append(t.servers, srv)
 	go srv.Serve(ln)
 	return srv
